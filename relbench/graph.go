@@ -22,7 +22,11 @@ func newRNG(seed uint64, stream uint64) *rng {
 
 func (r *rng) next() uint64 {
 	r.s += 0x9e3779b97f4a7c15
-	z := r.s
+	return mix64(r.s)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"relcomp"
 )
 
 // smallGraph is a 7-node, 14-edge directed graph with two routes of
@@ -204,6 +207,46 @@ func TestPairSourceHops(t *testing.T) {
 		dist, _ = g.hops(p[0], 10, dist, nil)
 		if dist[p[1]] != 2 {
 			t.Errorf("pair %v is %d hops apart, want 2", p, dist[p[1]])
+		}
+	}
+}
+
+// engine.self_us pairs Engine.Estimate with a direct call on a borrowed
+// replica reseeded by engineQuerySeed; the pairing holds only while the
+// direct call draws the engine's worlds and returns its answer.
+func TestEngineQuerySeedReproducesEngine(t *testing.T) {
+	g, err := datasetGraph("lastFM", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, err := relcomp.Dataset("lastFM", 0.2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := relcomp.NewEngine(rg, relcomp.EngineConfig{Seed: engineSeed, MaxK: maxK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := newPairSource(g, newRNG(1, 1))
+	for _, name := range []string{"MC", "PackMC", "PackMC256", "BFSSharing", "ProbTree", "LP+", "RHH", "RSS"} {
+		p, err := ps.pair(hopsST)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const k = 60
+		want := eng.Estimate(context.Background(), relcomp.Request{S: relcomp.NodeID(p[0]), T: relcomp.NodeID(p[1]), K: k, Estimator: name})
+		var got float64
+		if err := relcomp.BorrowEstimator(eng, name, func(est relcomp.Estimator) error {
+			if sd, ok := est.(interface{ Reseed(uint64) }); ok { // BFS Sharing's worlds are its index
+				sd.Reseed(engineQuerySeed(name, p[0], p[1], k))
+			}
+			got = est.Estimate(relcomp.NodeID(p[0]), relcomp.NodeID(p[1]), k)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want.Err != nil || got != want.Reliability {
+			t.Errorf("%s R(%d,%d): direct %v, engine %v (err %v)", name, p[0], p[1], got, want.Reliability, want.Err)
 		}
 	}
 }

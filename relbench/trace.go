@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
@@ -96,10 +97,17 @@ func (t *tracer) write(path string) error {
 
 // layerInputs are the workload's own inputs the in-process pass reuses.
 type layerInputs struct {
-	pairs []query      // queries of the workload; the plain s-t ones drive the direct calls
-	batch []query      // a batch of the workload (batch-source only)
-	muts  [][]mutation // mutation batches to apply and to append to a sidecar
+	pairs []query // queries of the workload; the plain s-t ones drive the direct calls
+	batch []query // a batch of the workload (batch-source only)
 }
+
+// layerMutations is how many mutation batches the in-process pass applies
+// and appends to a sidecar; repairReads is how many BFSSharing reads it
+// then compares between a snapshot-served engine and a fresh one.
+const (
+	layerMutations = 40
+	repairReads    = 32
+)
 
 // layerPass calls each layer's exported functions in process, on the
 // workload's graph file and inputs, inside spans, and returns the
@@ -244,19 +252,48 @@ func layerPass(ctx context.Context, e *env, w *workload) (map[string]float64, er
 	d := tr.time("relcomp.Engine.EstimateBatch", func() { eng.EstimateBatch(ctx, batch) })
 	out["engine.batch_us_per_query"] = us(d) / float64(len(batch))
 
-	// Engine self time: the same (s, t, k) through Engine.Estimate and
-	// through a direct call, paired. Small budgets (k in 56..63, each a new
-	// cache key) keep the sampling both sides share from drowning the
-	// engine's own work in run-to-run noise.
+	// Engine self time: Engine.Estimate minus a direct Estimate on one of
+	// the engine's own replicas (BorrowEstimator), reseeded with the
+	// engine's per-query seed, so both draw the same worlds and do the
+	// same sampling; the median of the paired differences. Small budgets
+	// (k in 56..63, each a new cache key) keep the timing noise of that
+	// shared sampling small, and the side that runs first alternates, so
+	// the caches the first call warms favour neither.
 	var selfUs, hitNs []float64
+	unpaired := 0
 	for _, q := range st {
 		for k := 56; k < 64; k++ {
 			req := toRequest(q)
 			req.K = k
-			de := tr.time("relcomp.Engine.Estimate", func() { eng.Estimate(ctx, req) })
-			dd := tr.time("core."+q.Estimator+".Estimate", func() {
-				direct[q.Estimator].Estimate(relcomp.NodeID(q.S), relcomp.NodeID(q.T), k)
-			})
+			var resp relcomp.Response
+			viaEngine := func() time.Duration {
+				return tr.time("relcomp.Engine.Estimate", func() { resp = eng.Estimate(ctx, req) })
+			}
+			var borrowed float64
+			viaDirect := func() (d time.Duration) {
+				err := relcomp.BorrowEstimator(eng, q.Estimator, func(est relcomp.Estimator) error {
+					if sd, ok := est.(interface{ Reseed(uint64) }); ok {
+						sd.Reseed(engineQuerySeed(q.Estimator, q.S, q.T, k))
+					}
+					d = tr.time("core."+q.Estimator+".Estimate", func() {
+						borrowed = est.Estimate(relcomp.NodeID(q.S), relcomp.NodeID(q.T), k)
+					})
+					return nil
+				})
+				if err != nil {
+					unpaired++
+				}
+				return d
+			}
+			var de, dd time.Duration
+			if k%2 == 0 {
+				de, dd = viaEngine(), viaDirect()
+			} else {
+				dd, de = viaDirect(), viaEngine()
+			}
+			if resp.Reliability != borrowed {
+				unpaired++
+			}
 			selfUs = append(selfUs, us(de-dd))
 		}
 		req := toRequest(q)
@@ -268,19 +305,40 @@ func layerPass(ctx context.Context, e *env, w *workload) (map[string]float64, er
 			hitNs = append(hitNs, float64(tr.time("relcomp.Engine.Estimate(hit)", func() { eng.Estimate(ctx, req) })))
 		}
 	}
+	if unpaired > 0 {
+		fmt.Fprintf(os.Stderr, "relbench: engine.self_us: %d of %d direct calls did not reproduce the engine's answer, so their sampling differs\n",
+			unpaired, len(selfUs))
+	}
 	out["engine.self_us"] = median(selfUs)
 	out["engine.hit_ns"] = median(hitNs)
 
+	// Mutation batches drawn from a fixed seed, so the pass applies the
+	// same history on every run of the workload.
+	probs := make([]float64, len(w.g.edges))
+	for i, ed := range w.g.edges {
+		probs[i] = ed.p
+	}
+	mr := newRNG(0, 5)
+	muts := make([][]mutation, layerMutations)
+	for i := range muts {
+		muts[i] = updateBatch(w.g, mr, probs)
+	}
 	xs = xs[:0]
+	m0 := eng.Stats().Mutations
 	var applyErr error
-	for _, muts := range w.layer.muts {
-		batch := toMutations(muts)
+	for _, batch := range muts {
+		batch := toMutations(batch)
 		xs = append(xs, us(tr.time("relcomp.Engine.Apply", func() { _, applyErr = eng.Apply(ctx, batch) })))
 		if applyErr != nil {
 			return nil, fmt.Errorf("in-process Apply: %w", applyErr)
 		}
 	}
+	m1 := eng.Stats().Mutations
 	out["engine.apply_us"] = median(xs)
+	batches := float64(m1.Batches - m0.Batches)
+	out["engine.repairs_per_batch"] = float64(m1.IndexRepairs-m0.IndexRepairs) / batches
+	out["engine.rebuilds"] = float64(m1.IndexRebuilds - m0.IndexRebuilds)
+	out["engine.invalidated_per_batch"] = float64(m1.InvalidatedSources-m0.InvalidatedSources) / batches
 
 	// internal/snapshot: open and verify a snapshot of the graph.
 	snapPath := filepath.Join(e.dir, "layer.snap")
@@ -311,6 +369,13 @@ func layerPass(ctx context.Context, e *env, w *workload) (map[string]float64, er
 	out["snapshot.open_ms"] = median(opens)
 	out["snapshot.verify_ms"] = median(verifies)
 
+	// Repair of a snapshot-served index: an engine over the snapshot
+	// applies the same batches, and its BFSSharing answers must equal those
+	// of a fresh engine on the benchmark's own copy of the mutated graph.
+	if out["engine.snapshot_repair_mismatches"], err = snapshotRepairMismatches(ctx, e, w, snapPath, muts); err != nil {
+		return nil, err
+	}
+
 	// internal/mutate: append each batch to a sidecar and fsync it.
 	side, err := os.Create(filepath.Join(e.dir, "layer.mutlog"))
 	if err != nil {
@@ -321,8 +386,8 @@ func layerPass(ctx context.Context, e *env, w *workload) (map[string]float64, er
 		return nil, err
 	}
 	xs = xs[:0]
-	for j, muts := range w.layer.muts {
-		b := relcomp.MutationBatch{Epoch: uint64(j + 1), Muts: toMutations(muts)}
+	for j, batch := range muts {
+		b := relcomp.MutationBatch{Epoch: uint64(j + 1), Muts: toMutations(batch)}
 		xs = append(xs, us(tr.time("relcomp.AppendMutationSidecar", func() {
 			if err = relcomp.AppendMutationSidecar(side, b); err == nil {
 				err = side.Sync()
@@ -334,6 +399,83 @@ func layerPass(ctx context.Context, e *env, w *workload) (map[string]float64, er
 	}
 	out["mutate.sidecar_append_us"] = median(xs)
 	return out, nil
+}
+
+// snapshotRepairMismatches counts, of repairReads fixed 2-hop BFSSharing
+// reads, those on which an engine served from the snapshot at snapPath,
+// after applying muts, answers otherwise than a fresh engine on the
+// mutated graph. The engines' contract makes it 0.
+func snapshotRepairMismatches(ctx context.Context, e *env, w *workload, snapPath string, muts [][]mutation) (float64, error) {
+	cfg := relcomp.EngineConfig{Seed: engineSeed, MaxK: maxK}
+	snap, err := relcomp.OpenSnapshot(snapPath)
+	if err != nil {
+		return 0, err
+	}
+	defer snap.Close()
+	served, err := relcomp.NewEngineFromSnapshot(snap, cfg)
+	if err != nil {
+		return 0, err
+	}
+	ps := newPairSource(w.g, newRNG(0, 10))
+	reads := make([]relcomp.Request, repairReads)
+	for i := range reads {
+		p, err := ps.pair(hopsST)
+		if err != nil {
+			return 0, err
+		}
+		reads[i] = relcomp.Request{S: relcomp.NodeID(p[0]), T: relcomp.NodeID(p[1]), K: maxK, Estimator: "BFSSharing"}
+	}
+	served.Estimate(ctx, reads[0]) // the index is in use before the first repair
+	var applied []mutation
+	for _, batch := range muts {
+		if _, err := served.Apply(ctx, toMutations(batch)); err != nil {
+			return 0, fmt.Errorf("in-process Apply on the snapshot engine: %w", err)
+		}
+		applied = append(applied, batch...)
+	}
+	mutated, err := w.g.withProbs(applied)
+	if err != nil {
+		return 0, err
+	}
+	path := filepath.Join(e.dir, "layer-mutated.txt")
+	if err := mutated.writeText(path); err != nil {
+		return 0, err
+	}
+	g, err := relcomp.ReadGraphFile(path)
+	if err != nil {
+		return 0, err
+	}
+	fresh, err := relcomp.NewEngine(g, cfg)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, q := range reads {
+		q.K = maxK - 2 // a key the warm-up read did not fill
+		a, b := served.Estimate(ctx, q), fresh.Estimate(ctx, q)
+		if a.Err != nil || b.Err != nil {
+			return 0, fmt.Errorf("BFSSharing read %d->%d: %v, %v", q.S, q.T, a.Err, b.Err)
+		}
+		if a.Reliability != b.Reliability {
+			n++
+		}
+	}
+	return float64(n), nil
+}
+
+// engineQuerySeed mirrors the engine's per-query stream seed
+// (internal/engine querySeed): equal for equal (estimator, s, t, k), with
+// the target ignored by the world-packed kernels.
+func engineQuerySeed(name string, s, t int32, k int) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	z := mix64(engineSeed ^ h.Sum64())
+	if name == "PackMC" || name == "PackMC256" || name == "PackMC512" {
+		t = s
+	}
+	z = mix64(z + 0x9e3779b97f4a7c15*uint64(s))
+	z = mix64(z + 0xbf58476d1ce4e5b9*uint64(t))
+	return mix64(z + 0x94d049bb133111eb*uint64(k))
 }
 
 func toRequest(q query) relcomp.Request {

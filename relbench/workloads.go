@@ -29,8 +29,6 @@ const (
 	batchHops   = 3    // batch targets lie within this many hops of their source
 	anytimeEps  = 0.05 // relative half-width target of anytime groups
 	mutationLen = 8    // edges per mutation batch
-	probeWarm   = 64   // unmeasured probe batches first: the first commits of a process run slower
-	probeLen    = 256  // measured probe batches on workloads that do not mutate
 )
 
 // workload is one traffic mix: its graph, its pre-generated ops, and the
@@ -44,7 +42,6 @@ type workload struct {
 	lists [2][]*op
 	cycle bool  // clients loop over their lists (the hot set)
 	warm  []*op // set-up requests, asked in order after the server starts
-	probe []*op // mutation batches a traced run times on a discarded set-up server, where the traffic has none
 	post  []*op // fresh reads asked at the final epoch (mutate-read)
 
 	// serverArgs readies one set-up's server flags; it runs inside the
@@ -159,7 +156,6 @@ func hitHot(e *env) (*workload, error) {
 		w.lists[c] = order
 	}
 	w.serverArgs = graphArgs(w)
-	w.addProbe(e)
 	return w, nil
 }
 
@@ -204,7 +200,6 @@ func missSix(e *env) (*workload, error) {
 		qs, as := keptAnswers(win)
 		referenceCheck(e, w.g, qs, as, ch)
 	}
-	w.addProbe(e)
 	return w, nil
 }
 
@@ -298,16 +293,15 @@ func batchSource(e *env) (*workload, error) {
 		qs, as := keptAnswers(win)
 		referenceCheck(e, w.g, qs, as, ch)
 	}
-	w.addProbe(e)
 	return w, nil
 }
 
-// mutateRead: NetHept served from a relsnap snapshot with its sidecar.
-// Client 0 commits 8-edge probability updates, each followed by four new
-// reads and a re-read of the previous four; client 1 reads pairs that
-// never repeat. Reads pin BFSSharing, ProbTree and MC in turn.
+// mutateRead: NetHept at scale 2, served from a relsnap snapshot with its
+// sidecar. Client 0 commits 8-edge probability updates, each followed by
+// four new reads and a re-read of the previous four; client 1 reads pairs
+// that never repeat. Reads pin BFSSharing, ProbTree and MC in turn.
 func mutateRead(e *env) (*workload, error) {
-	w := &workload{dataset: "NetHept", scale: 1}
+	w := &workload{dataset: "NetHept", scale: 2}
 	if err := w.prepareGraph(e); err != nil {
 		return nil, err
 	}
@@ -335,9 +329,6 @@ func mutateRead(e *env) (*workload, error) {
 	for j := 0; j < perClient(e, 60); j++ {
 		muts := updateBatch(w.g, r, probs)
 		w.lists[0] = append(w.lists[0], newMutateOp(muts))
-		if j < 40 {
-			w.layer.muts = append(w.layer.muts, muts)
-		}
 		var fresh []*op
 		for i := 0; i < 4; i++ {
 			q, err := read(ps)
@@ -416,34 +407,6 @@ func updateBatch(g *graph, r *rng, probs []float64) []mutation {
 		muts = append(muts, mutation{Op: "update", From: g.edges[i].from, To: g.edges[i].to, P: p})
 	}
 	return muts
-}
-
-// addProbe adds the mutation batches that time acknowledgments on a
-// workload whose traffic does not mutate: each halves the probabilities
-// of mutationLen random edges.
-func (w *workload) addProbe(e *env) {
-	r := newRNG(e.seed, 5)
-	probs := make([]float64, len(w.g.edges))
-	for i, ed := range w.g.edges {
-		probs[i] = ed.p
-	}
-	for j := 0; j < probeWarm+probeLen; j++ {
-		picked := map[int]bool{}
-		var muts []mutation
-		for len(muts) < mutationLen {
-			i := r.intn(len(w.g.edges))
-			if picked[i] {
-				continue
-			}
-			picked[i] = true
-			probs[i] /= 2
-			muts = append(muts, mutation{Op: "update", From: w.g.edges[i].from, To: w.g.edges[i].to, P: probs[i]})
-		}
-		w.probe = append(w.probe, newMutateOp(muts))
-		if j < 40 {
-			w.layer.muts = append(w.layer.muts, muts)
-		}
-	}
 }
 
 // keptAnswers pairs each kept op's queries with their answers.
@@ -619,17 +582,24 @@ func finalEpochCheck(ctx context.Context, e *env, w *workload, srv *server, win 
 	}
 	defer fresh.stop()
 	qs := make([]query, len(w.post))
+	mismatched := 0
 	for i, o := range w.post {
 		qs[i] = o.q
-		if o.q.Estimator == "BFSSharing" {
-			// A BFS Sharing index served from a snapshot and then
-			// repaired does not match a fresh build (see CHANGES.md);
-			// its reads are checked against the reference only.
+		a, err := askOne(c, fresh, o.q, w.g.n)
+		if err == nil && !sameAnswer(a, live[i]) && o.q.Estimator == "BFSSharing" {
+			// A BFS Sharing index served from a snapshot and then repaired
+			// diverges from a fresh build (CHANGES.md, FOUND). How many
+			// reads it moves depends on how many batches the run
+			// committed, so it is reported here and, on fixed inputs, as
+			// engine.snapshot_repair_mismatches, not counted as failed.
+			mismatched++
 			continue
 		}
-		a, err := askOne(c, fresh, o.q, w.g.n)
 		ch.expect(err == nil && sameAnswer(a, live[i]), "read %+v on a fresh server over the mutated graph: %v (%v vs %v)",
 			o.q, err, a.Reliability, live[i].Reliability)
+	}
+	if mismatched > 0 {
+		fmt.Fprintf(os.Stderr, "relbench: mutate-read: known defect: %d final-epoch BFSSharing reads differ from a fresh server\n", mismatched)
 	}
 	referenceCheck(e, mutated, qs, live, ch)
 	return nil
